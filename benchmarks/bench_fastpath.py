@@ -27,9 +27,9 @@ import time
 from datetime import datetime, timezone
 
 from benchmarks.conftest import bench_graphs, bench_workers
+from repro.experiments.campaign import run_campaign
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import run_figure
-from repro.experiments.harness import run_campaign
 
 BENCH_LOG = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "BENCH_fastpath.json")

@@ -28,9 +28,9 @@ from datetime import datetime, timezone
 import pytest
 
 from benchmarks.bench_fastpath import BENCH_LOG, append_bench_record
+from repro.experiments.campaign import run_campaign
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import check_shape, run_figure
-from repro.experiments.harness import run_campaign
 
 GUARD_GRAPHS = max(1, int(os.environ.get("REPRO_GRAPHS", "1")))
 GUARD_WORKERS = 2

@@ -72,11 +72,9 @@ from repro.experiments.harness import (
     generate_instance,
     run_rep,
     run_point,
-    run_campaign,
     CampaignResult,
     PointResult,
     RepResult,
-    ParallelHarness,
     ALGORITHM_RUNNERS,
     FAULTFREE_RUNNERS,
 )
@@ -110,6 +108,7 @@ from repro.experiments.executors import (
     EXECUTOR_NAMES,
 )
 from repro.experiments.campaign import (
+    run_campaign,
     run_grid,
     resume_campaign,
 )
@@ -135,12 +134,6 @@ from repro.experiments.service import (
 )
 from repro.experiments.figures import (
     run_figure,
-    figure1,
-    figure2,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
     check_shape,
     ShapeReport,
 )
@@ -252,7 +245,6 @@ __all__ = [
     "CampaignResult",
     "PointResult",
     "RepResult",
-    "ParallelHarness",
     "ALGORITHM_RUNNERS",
     "FAULTFREE_RUNNERS",
     "RunStore",
@@ -277,12 +269,6 @@ __all__ = [
     "run_worker",
     "EXECUTOR_NAMES",
     "run_figure",
-    "figure1",
-    "figure2",
-    "figure3",
-    "figure4",
-    "figure5",
-    "figure6",
     "check_shape",
     "ShapeReport",
     "render_figure",

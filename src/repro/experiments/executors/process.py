@@ -1,4 +1,4 @@
-"""Single-machine multi-process executor (the former ``ParallelHarness``).
+"""Single-machine multi-process executor.
 
 Fans work units out over a :class:`~concurrent.futures.ProcessPoolExecutor`.
 Units are submitted in *chunks* sized by the shared

@@ -9,45 +9,49 @@ kill, network partition) has its in-flight unit *requeued* for the next
 live worker, so a campaign survives any worker failure as long as one
 worker remains.  Fitting machinery for a paper about tolerating crashes.
 
-Wire protocol: newline-delimited JSON, one message per line.  Version 2
-adds batch leases — the master hands a worker several units per
-round-trip and the worker acks each unit as it completes, so a dead
-worker only requeues the *unfinished remainder* of its lease.  Version 3
-adds ``revoke``: the master reclaims the unstarted remainder of a lease
-from a straggling worker and re-leases it to an idle one (work
-stealing).  Version 4 adds the campaign-service *client* messages
-(``submit`` / ``status`` / ``jobs`` / ``cancel`` / ``submit_units``,
-served by :mod:`repro.experiments.service`); the worker flow is
-unchanged from v3.
+Wire protocol: newline-delimited JSON, one message per line.  The
+master hands a worker a *lease* of several units per round-trip and the
+worker acks each unit as it completes, so a dead worker only requeues
+the *unfinished remainder* of its lease; ``revoke`` reclaims the
+unstarted remainder of a lease from a straggling worker so an idle one
+can take it (work stealing).  The campaign service adds *client*
+messages (``submit`` / ``status`` / ``jobs`` / ``cancel`` /
+``submit_units``, served by :mod:`repro.experiments.service`).
 
 ======================  ==========================================  =========
 message                 fields                                      direction
 ======================  ==========================================  =========
 ``hello``               ``worker`` (label), ``heartbeat`` (s),      w -> m
-                        ``proto`` (int, absent = 1)
-``unit``                ``unit`` (WorkUnit dict)           [v1]     m -> w
-``lease``               ``units`` (list of WorkUnit dicts) [v2]     m -> w
+                        ``proto`` (must equal :data:`PROTO_VERSION`)
+``lease``               ``units`` (list of WorkUnit dicts)          m -> w
 ``heartbeat``           —                                           w -> m
 ``result``              ``unit_id``, ``result`` (RepResult),        w -> m
-                        ``seconds`` (compute time)         [v2]
+                        ``seconds`` (compute time)
 ``revoke``              ``unit_ids`` (units stolen from the         m -> w
-                        lease; skip any not yet started)   [v3]
+                        lease; skip any not yet started)
 ``shutdown``            —                                           m -> w
+``error``               ``error``, ``key`` (the refused field)      m -> w
 ======================  ==========================================  =========
 
-Version negotiation: the worker's ``hello`` names the highest protocol
-it speaks and the master answers in ``min(worker, PROTO_VERSION)`` — a
-v1 worker (no ``proto`` field) is streamed single ``unit`` messages
-exactly as before, a v2 worker gets ``lease`` batches sized by the
-master's :class:`~repro.experiments.executors.base.LeasePolicy`, and
-only v3 workers are ever sent a ``revoke`` — a v2 worker keeps working
-its lease un-revoked (the master simply never steals from it).
+Master and workers ship from one tree, so there is no version
+negotiation: a ``hello`` whose ``proto`` is missing or differs from
+:data:`PROTO_VERSION`, or whose ``heartbeat`` is not a finite number of
+seconds in ``(0, WORKER_IDLE_TIMEOUT]``, gets one ``error`` reply and the
+connection is closed; the worker exits with :data:`WORKER_EXIT_ERROR`.
+
+Both masters — this module's one-shot :class:`SocketExecutor` and the
+long-lived campaign service — run on one worker-serving core,
+:class:`_WorkerHub`: accept, classify each connection by its first
+message, one session per worker (hello -> lease -> acks -> retire ->
+next lease -> shutdown, with the unacked remainder requeued on any
+exit), fair-share checkout across the jobs it hosts, and local worker
+spawning.  The executor hosts its campaign as the hub's only job.
 
 Straggler mitigation is master-side and per-connection:
 
 * **Work stealing** (on by default): a worker that goes idle against an
   empty queue triggers a steal — the master removes all but the first
-  remaining unit of the largest outstanding v3 lease (the head is what
+  remaining unit of the largest outstanding lease (the head is what
   the victim is computing *right now*; everything behind it has not
   started), tells the victim via ``revoke``, and leases the reclaimed
   units to the idle worker tagged ``"stolen"``.
@@ -80,6 +84,7 @@ import sys
 import threading
 import time
 from collections import deque
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from repro.experiments.executors.base import (
@@ -94,10 +99,8 @@ from repro.experiments.executors.base import (
 from repro.experiments.grid import WorkUnit
 from repro.experiments.store import RunStore, result_from_dict, result_to_dict
 
-#: highest wire-protocol version this build speaks (3 = lease
-#: revocation; 4 = the campaign-service client messages ``submit`` /
-#: ``status`` / ``jobs`` / ``cancel`` / ``submit_units`` — the worker
-#: flow is unchanged from v3)
+#: the wire-protocol version of this tree; a worker ``hello`` naming any
+#: other version is refused (master and workers ship together)
 PROTO_VERSION = 4
 
 #: worker process exit codes — the conformance harness asserts *why* a
@@ -111,6 +114,9 @@ WORKER_EXIT_FAULT_INJECTED = 3
 DEFAULT_HEARTBEAT = 0.5
 #: master declares a worker dead after this many silent heartbeat periods
 DEAD_AFTER_BEATS = 8
+#: how long an idle worker session waits for a message before it looks
+#: for claimable work again
+IDLE_POLL_S = 0.2
 #: a worker that hears nothing from the master for this long gives up —
 #: the master host vanished without a TCP FIN (power loss, partition).
 #: Generous, because a worker legitimately idles while the master holds
@@ -164,8 +170,9 @@ class _LineConn:
             self.sock.sendall(data)
 
     def recv(self, timeout: Optional[float] = None) -> dict:
-        """Next message; raises ``ConnectionError`` on EOF, ``TimeoutError``
-        (``socket.timeout``) when the peer stays silent too long.
+        """Next message; raises ``ConnectionError`` on EOF or a line that
+        is not a JSON object, ``TimeoutError`` (``socket.timeout``) when
+        the peer stays silent too long.
 
         Reads through an explicit buffer rather than ``sock.makefile``:
         a buffered file object that hits a timeout is poisoned for every
@@ -179,7 +186,13 @@ class _LineConn:
             if newline >= 0:
                 line = bytes(self._rbuf[: newline + 1])
                 del self._rbuf[: newline + 1]
-                return json.loads(line)
+                try:
+                    message = json.loads(line)
+                except ValueError as exc:
+                    raise ConnectionError(f"malformed message: {exc}") from None
+                if not isinstance(message, dict):
+                    raise ConnectionError("message is not a JSON object")
+                return message
             if deadline is None:
                 self.sock.settimeout(None)
             else:
@@ -290,74 +303,98 @@ class WorkerPool:
         return self.replaced_codes + [_reap_worker(p) for p in self.procs]
 
 
-class SocketExecutor:
-    """TCP master that streams units to worker processes, requeues units
-    from dead workers, and steals them back from straggling ones.
+def _hello_problem(hello: dict) -> Optional[tuple[str, str]]:
+    """``(field, reason)`` when a worker's ``hello`` must be refused.
 
-    ``spawn_workers`` launches that many local ``campaign worker``
-    subprocesses against the bound port (an int, or a sequence of
-    extra-argv lists for per-worker options — fault-injection tests pass
-    ``["--max-units", "1"]`` to make a worker die mid-campaign).  A
-    spawned worker that *genuinely* crashes (any exit code besides a
-    clean shutdown or the injected fault's) is relaunched up to
-    :data:`WORKER_RESPAWN_LIMIT` times, so one crash doesn't strand
-    local capacity.  External workers connect with
-    ``repro-ftsched campaign worker HOST:PORT`` at any time, including
-    mid-campaign.  ``timeout`` is a *no-activity* deadline, not a wall
-    clock for the whole run: it resets on every message any worker sends
-    (heartbeats while computing, results, hellos), so a campaign with at
-    least one live worker never trips it — however long the run or a
-    single unit takes — while a run with no worker talking (every worker
-    died and none reconnects) raises instead of hanging forever.
+    Master and workers ship together, so the protocol version must match
+    exactly.  The heartbeat sizes the connection's dead-man deadline: it
+    must be a finite number of seconds no longer than the worker's own
+    idle timeout (anything else overflows the socket timeout or kills
+    the serving thread)."""
+    proto = hello.get("proto")
+    if proto != PROTO_VERSION:
+        return "proto", (
+            f"worker speaks wire protocol {proto!r}; this master speaks "
+            f"only {PROTO_VERSION}"
+        )
+    beat = hello.get("heartbeat")
+    if (
+        isinstance(beat, bool)
+        or not isinstance(beat, (int, float))
+        or not 0 < beat <= WORKER_IDLE_TIMEOUT
+    ):
+        return "heartbeat", (
+            f"heartbeat must be a number of seconds in "
+            f"(0, {WORKER_IDLE_TIMEOUT:g}], got {beat!r}"
+        )
+    return None
 
-    ``lease`` sizes the unit batches handed to v2+ workers: an int pins
-    a fixed lease size, ``"auto"`` (the default) adapts to observed unit
-    latency — targeting ~2x the heartbeat interval of work per lease —
-    and a configured :class:`LeasePolicy` instance passes through.
 
-    ``steal`` (``"auto"``, the default, or ``"off"``) controls lease
-    revocation: an idle worker facing an empty queue steals the
-    unstarted remainder of the largest outstanding v3 lease.  An
-    un-started unit costs only a protocol round-trip to move, so this is
-    on by default.  ``speculate`` (``"off"`` by default, or ``"auto"``)
-    additionally duplicates the slowest in-flight unit onto an idle
-    worker near the campaign tail — the only rescue for a wedged worker
-    that heartbeats without progressing; see
-    :class:`~repro.experiments.executors.base.SpeculationPolicy`.
+def _send_revoke(lc: "_LineConn", unit_ids: list[str]) -> None:
+    """Tell a victim which leased units were taken away.  Sent outside
+    every lock, so a victim with a full TCP buffer cannot stall the other
+    sessions.  Advisory: the units are already re-leased, a wedged victim
+    that never reads it just loses first-ack-wins, and a dead one's lease
+    requeues when its session ends."""
+    try:
+        lc.send({"type": "revoke", "unit_ids": unit_ids})
+    except OSError:
+        pass
 
-    After ``run`` returns, ``worker_exit_codes`` holds the exit code of
-    every worker this master spawned, including replaced crashers
-    (``WORKER_EXIT_FAULT_INJECTED`` identifies ``--max-units`` /
-    ``--wedge-after`` fault workers), and ``stolen_units`` /
-    ``speculative_attempts`` count what the straggler mitigation did.
+
+@dataclass
+class HostedJob:
+    """A job a worker hub leases units from: its fair-share identity and
+    the :class:`_MasterState` tracking its units."""
+
+    job_id: str
+    tenant: str
+    priority: int
+    seq: int
+    status: str
+    state: Optional["_MasterState"] = None
+
+
+class _WorkerHub:
+    """The worker-serving core of both masters.
+
+    It binds and accepts, classifies each connection by its first message
+    (a ``hello`` is a worker, anything else goes to
+    :meth:`_serve_client`), runs one session per worker, checks leases
+    out of the jobs it hosts, and spawns local workers.
+    :class:`SocketExecutor` hosts one in-memory job per ``run``;
+    :class:`~repro.experiments.service.CampaignService` hosts many
+    durable ones.
+
+    A worker session moves through fixed steps: a validated ``hello``;
+    a ``lease``; one ``result`` per unit — an ack claims the unit from
+    the lease, a *stale* ack (a revoked or replayed unit once leased
+    here) routes to the job that leased it and loses first-ack-wins
+    unless it lands first; the drained lease retires; the next lease;
+    and ``shutdown`` once the hub stops.  However a session ends — EOF,
+    silence past the dead-man deadline, a malformed message — the
+    unacked remainder of its lease is requeued.
+
+    Checkout is two-level.  Across tenants: weighted fair queuing — each
+    tenant's virtual time advances by ``1 / (1 + priority)`` per granted
+    lease and the tenant with the smallest virtual time is offered first
+    (ties by name).  Within a tenant: highest priority, then submission
+    order.  Pending queues across all jobs are drained before stealing
+    or speculating within one.
     """
-
-    name = "socket"
 
     def __init__(
         self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        spawn_workers: Union[int, Sequence[Sequence[str]]] = 0,
-        heartbeat: float = DEFAULT_HEARTBEAT,
-        timeout: Optional[float] = 300.0,
-        lease: LeaseSpec = None,
-        speculate: SpeculationSpec = None,
-        steal: Union[str, bool, None] = None,
-        on_listen: Optional[Callable[[tuple[str, int]], None]] = None,
+        host: str,
+        port: int,
+        spawn_workers: Union[int, Sequence[Sequence[str]]],
+        heartbeat: float,
+        speculate: SpeculationSpec,
+        steal: Union[str, bool, None],
     ) -> None:
         self.host = host
         self.port = port
         self.heartbeat = heartbeat
-        self.timeout = timeout
-        #: called with the *actually bound* ``(host, port)`` right after
-        #: the listening socket exists — the only correct place to learn
-        #: the real port of a ``--bind host:0`` ephemeral bind (the CLI
-        #: announces the master address through this)
-        self.on_listen = on_listen
-        self.lease_policy = LeasePolicy.from_spec(
-            lease, target_seconds=2.0 * heartbeat
-        )
         self.speculation = SpeculationPolicy.from_spec(speculate)
         self.steal = parse_steal(steal)
         if isinstance(spawn_workers, int):
@@ -365,113 +402,49 @@ class SocketExecutor:
         else:
             self._worker_specs = [list(extra) for extra in spawn_workers]
         self.address: Optional[tuple[str, int]] = None
-        self.worker_exit_codes: list[int] = []
-        self.worker_respawns = 0
-        self.stolen_units = 0
-        self.speculative_attempts = 0
         self._dead_after = max(heartbeat * DEAD_AFTER_BEATS, 5.0)
+        self._lock = threading.Lock()
+        self._server: Optional[socket.socket] = None
+        self._pool: Optional[WorkerPool] = None
+        self._reset()
 
-    # ------------------------------------------------------------- master
+    def _reset(self) -> None:
+        """Fresh serving state (the executor serves once per ``run``)."""
+        self._stop = threading.Event()
+        self._order: list[HostedJob] = []
+        #: weighted-fair-queuing virtual time per tenant
+        self._vtime: dict[str, float] = {}
+        self._conns: set[_LineConn] = set()
+        self._next_conn_id = 0
+        #: live worker sessions (past a valid hello)
+        self._workers = 0
+        #: worker messages received — tells "slow but alive" from "all dead"
+        self._activity = 0
 
-    def run(
-        self,
-        units: Sequence[WorkUnit],
-        store: RunStore,
-        progress: Optional[ProgressFn] = None,
-    ) -> None:
-        state = _MasterState(
-            units,
-            store,
-            progress,
-            lease_policy=self.lease_policy,
-            speculation=self.speculation,
-            steal=self.steal,
-        )
-        server = socket.create_server((self.host, self.port))
-        self.address = server.getsockname()[:2]
-        if self.on_listen is not None:
-            self.on_listen(self.address)
-        stop = threading.Event()
-        acceptor = threading.Thread(
+    # ------------------------------------------------------------ serving
+
+    def _listen(self) -> tuple[str, int]:
+        """Bind and start accepting; returns the actually-bound address."""
+        self._server = socket.create_server((self.host, self.port))
+        self.address = self._server.getsockname()[:2]
+        threading.Thread(
             target=self._accept_loop,
-            args=(server, state, stop),
+            args=(self._server, self._stop),
             name="campaign-master-accept",
             daemon=True,
-        )
-        acceptor.start()
-        # Workers spawn *inside* the try: an exception anywhere between
-        # the first spawn and the finally (including a failed spawn
-        # itself, handled inside spawn_all) must still terminate and
-        # reap every child — an interrupted master cannot orphan them.
-        pool = WorkerPool(self._worker_specs, self._spawn_worker)
-        clean = False
-        try:
-            pool.spawn_all()
-            last_activity = -1
-            deadline: Optional[float] = None
-            while not state.wait_done(0.2):
-                activity = state.activity_count()
-                if activity != last_activity:
-                    # Any worker message (heartbeat, result, hello)
-                    # resets the clock: `timeout` bounds how long the
-                    # campaign may go with no worker talking, not its
-                    # total length or a single unit's runtime.
-                    last_activity = activity
-                    deadline = (
-                        None if self.timeout is None
-                        else time.monotonic() + self.timeout
-                    )
-                if deadline is not None and time.monotonic() >= deadline:
-                    missing = state.remaining()
-                    raise TimeoutError(
-                        f"socket campaign heard from no worker for "
-                        f"{self.timeout:.0f}s: {len(missing)} unit(s) still "
-                        f"pending "
-                        f"(first: {missing[0].unit_id if missing else '-'}); "
-                        "are any workers connected?"
-                    )
-                # Relaunch spawned workers that genuinely crashed (never
-                # a clean shutdown or the injected --max-units fault),
-                # bounded per slot so a crash-looping unit cannot
-                # respawn its worker forever.
-                pool.poll_respawn()
-                # Every worker this master spawned has exited (respawn
-                # budget included) and no connection is serving units:
-                # the campaign can no longer make progress (e.g. a unit
-                # crashes each worker in turn) — fail now instead of
-                # sitting out the timeout.
-                if pool.all_exited() and state.active_connections() == 0:
-                    missing = state.remaining()
-                    raise RuntimeError(
-                        f"all {len(pool.procs)} spawned worker(s) exited with "
-                        f"{len(missing)} unit(s) incomplete "
-                        f"(first: {missing[0].unit_id if missing else '-'}); "
-                        "check the worker logs — a crashing work unit kills "
-                        "every worker it is requeued to"
-                    )
-            clean = True
-        finally:
-            stop.set()
-            state.finish()
+        ).start()
+        return self.address
+
+    def _close(self) -> None:
+        """Stop serving: sessions send ``shutdown`` at their next step."""
+        self._stop.set()
+        if self._server is not None:
             try:
-                server.close()
+                self._server.close()
             except OSError:
                 pass
-            if not clean:
-                # An exceptional exit (KeyboardInterrupt, timeout, a
-                # raise mid-spawn) must not wait out the workers' own
-                # shutdown: terminate them now so no child survives a
-                # raised run.  On a clean exit the workers already got
-                # `shutdown` messages and exit 0 on their own.
-                pool.terminate_all()
-            self.worker_exit_codes = pool.reap_all()
-            self.worker_respawns += pool.respawns
-            self.stolen_units = state.stolen_units
-            self.speculative_attempts = state.speculative_attempts
 
-    def _accept_loop(
-        self, server: socket.socket, state: "_MasterState", stop: threading.Event
-    ) -> None:
+    def _accept_loop(self, server: socket.socket, stop: threading.Event) -> None:
         server.settimeout(0.2)
         while not stop.is_set():
             try:
@@ -481,121 +454,207 @@ class SocketExecutor:
             except OSError:
                 return
             threading.Thread(
-                target=self._serve_worker,
-                args=(conn, state),
-                name="campaign-master-worker",
+                target=self._serve_connection,
+                args=(conn,),
+                name="campaign-master-conn",
                 daemon=True,
             ).start()
 
-    def _serve_worker(self, conn: socket.socket, state: "_MasterState") -> None:
+    def _serve_connection(self, conn: socket.socket) -> None:
         lc = _LineConn(conn)
-        conn_id = state.new_conn_id()
-        serving = False
-        # Every unit id ever leased to this connection: a result for a
-        # unit outside the *current* lease is legitimate only if it was
-        # once leased here (a revoked unit's ack losing the race, or a
-        # replayed delivery) — anything else is a version-skewed or
-        # buggy worker and kills the connection.
-        ever_leased: set[str] = set()
+        with self._lock:
+            self._conns.add(lc)
         try:
-            hello = lc.recv(timeout=self._dead_after)
-            if hello.get("type") != "hello":
+            first = lc.recv(timeout=self._dead_after)
+            if first.get("type") != "hello":
+                self._serve_client(lc, first)
                 return
-            state.note_activity()
-            state.connection_opened()
-            serving = True
-            # Version negotiation: speak the highest protocol both sides
-            # know.  A v1 worker (no proto field) is streamed one unit at
-            # a time; v2+ gets policy-sized leases; only v3 connections
-            # are ever steal victims (they understand `revoke`).
-            proto = min(PROTO_VERSION, int(hello.get("proto", 1)))
-            # Honor the worker's own heartbeat cadence (it may have been
-            # started with --heartbeat much larger than the master's):
-            # the deadness deadline is per-connection, from the hello.
-            worker_beat = float(hello.get("heartbeat", self.heartbeat))
-            dead_after = max(
-                self._dead_after, worker_beat * DEAD_AFTER_BEATS
-            )
-            while True:
-                lease = state.checkout_lease(
-                    conn_id,
-                    lc,
-                    proto,
-                    self.lease_policy if proto >= 2 else None,
-                )
-                if lease is None:
-                    lc.send({"type": "shutdown"})
-                    return
+            problem = _hello_problem(first)
+            if problem is not None:
+                key, reason = problem
+                lc.send({"type": "error", "error": reason, "key": key})
+                return
+            self._serve_worker(lc, float(first["heartbeat"]))
+        except (ConnectionError, OSError):
+            pass  # EOF, silence, reset, or a malformed line: drop it
+        finally:
+            with self._lock:
+                self._conns.discard(lc)
+            lc.close()
+
+    def _serve_client(self, lc: "_LineConn", first: dict) -> None:
+        """A connection that did not open with ``hello``; this master
+        serves workers only."""
+        lc.send(
+            {"type": "error", "key": "type",
+             "error": f"expected a worker hello, got {first.get('type')!r}"}
+        )
+
+    def _serve_worker(self, lc: "_LineConn", heartbeat: float) -> None:
+        # The worker's own heartbeat cadence (it may run with a much
+        # larger --heartbeat than the master's) sets this connection's
+        # dead-man deadline.
+        dead_after = max(self._dead_after, heartbeat * DEAD_AFTER_BEATS)
+        with self._lock:
+            self._next_conn_id += 1
+            conn_id = self._next_conn_id
+            self._workers += 1
+            self._activity += 1
+        # unit id -> the job that leased it here, for every unit ever
+        # leased to this connection: a result outside the current lease
+        # is legitimate only for such a unit.  Unit ids can collide
+        # across jobs running the same spec; last lease wins, which at
+        # worst lands an *identical* row in the twin job's store
+        # (idempotent append) — never a wrong row.
+        ever_leased: dict[str, HostedJob] = {}
+        job: Optional[HostedJob] = None  # holder of this connection's lease
+        try:
+            while not self._stop.is_set():
+                claim = self._checkout(conn_id, lc)
+                if claim is None:
+                    # Nothing leasable: consume heartbeats and stale acks
+                    # (and notice a dead worker) while idle.
+                    try:
+                        message = lc.recv(timeout=IDLE_POLL_S)
+                    except socket.timeout:
+                        continue
+                    self._receive(message, conn_id, None, ever_leased)
+                    continue
+                job, lease = claim
                 # The lease is tracked in master state BEFORE the send:
-                # if the worker died at the lease boundary (send
-                # raises), the claimed units must requeue, not strand
-                # in flight.
-                ever_leased.update(lease.remaining)
-                if proto >= 2:
-                    lc.send(
-                        {"type": "lease",
-                         "units": [u.to_dict() for u in lease.units()]}
-                    )
-                else:
-                    lc.send({"type": "unit", "unit": lease.units()[0].to_dict()})
+                # if the worker died at the lease boundary (send raises),
+                # the claimed units requeue, not strand in flight.
+                for uid in lease.remaining:
+                    ever_leased[uid] = job
+                lc.send(
+                    {"type": "lease",
+                     "units": [u.to_dict() for u in lease.units()]}
+                )
                 # Serve acks until the lease drains — by this worker's
-                # results or by a thief stealing the remainder (the
-                # condition is rechecked after every message).
+                # results, a thief stealing the tail, or a cancel.
                 while lease.remaining:
                     message = lc.recv(timeout=dead_after)
-                    state.note_activity()
-                    if state.is_finished():
-                        # The campaign completed without this lease
-                        # draining — a wedged worker heartbeating while
-                        # speculation rescued its units.  Closing the
-                        # connection (finally) is what unwedges it.
+                    if self._stop.is_set():
+                        # Done without this lease draining — a wedged
+                        # worker whose units speculation rescued.
+                        # Closing the connection is what unwedges it.
                         return
-                    kind = message.get("type")
-                    if kind == "heartbeat":
-                        continue
-                    if kind != "result":
-                        raise ConnectionError(
-                            f"unexpected message type {kind!r}"
-                        )
-                    unit_id = message.get("unit_id")
-                    unit, attempt = state.ack(conn_id, unit_id)
-                    if unit is None:
-                        unit = (
-                            state.lookup(unit_id)
-                            if unit_id in ever_leased else None
-                        )
-                        if unit is None:
-                            # A version-skewed or buggy worker answering
-                            # for a unit it was never leased must not
-                            # corrupt the store: drop the worker,
-                            # requeue its lease.
-                            raise ConnectionError(
-                                f"result for {unit_id!r} outside this "
-                                "worker's lease"
-                            )
-                        # A stale ack: the unit was revoked from this
-                        # connection (or this is a replayed delivery).
-                        # First ack wins — the copy still routes through
-                        # the store so the losing attempt is counted.
-                        attempt = "stale"
-                    result = result_from_dict(
-                        message["result"], unit.granularity, unit.rep
-                    )
-                    state.complete(unit, result, attempt=attempt)
-                    seconds = message.get("seconds")
-                    if seconds is not None:
-                        self.lease_policy.observe(float(seconds))
-                state.retire_lease(conn_id)
-        except (ConnectionError, OSError, socket.timeout, json.JSONDecodeError):
-            # Worker died or went silent: put the *unfinished remainder*
-            # of its lease back on the queue for the next live worker
-            # (per-unit acks mean completed units never rerun).
-            pass
+                    self._receive(message, conn_id, job, ever_leased)
+                job.state.retire_lease(conn_id)
+                job = None
+            lc.send({"type": "shutdown"})
         finally:
-            state.requeue_lease(conn_id)
-            if serving:
-                state.connection_closed()
-            lc.close()
+            if job is not None:
+                job.state.requeue_lease(conn_id)
+            with self._lock:
+                self._workers -= 1
+
+    def _receive(
+        self,
+        message: dict,
+        conn_id: int,
+        job: Optional[HostedJob],
+        ever_leased: dict[str, HostedJob],
+    ) -> None:
+        """Act on one worker message; ``ConnectionError`` drops the worker."""
+        with self._lock:
+            self._activity += 1
+        kind = message.get("type")
+        if kind == "heartbeat":
+            return
+        if kind != "result":
+            raise ConnectionError(f"unexpected message type {kind!r}")
+        unit_id = message.get("unit_id")
+        owner = ever_leased.get(unit_id)
+        if owner is None:
+            # A buggy worker answering for a unit it was never leased
+            # must not corrupt the store: drop it, requeue its lease.
+            raise ConnectionError(
+                f"result for {unit_id!r} outside this worker's leases"
+            )
+        unit = owner.state.lookup(unit_id)
+        # Parse BEFORE the ack claims the unit: a malformed payload then
+        # leaves the unit in the lease, and dropping the connection
+        # requeues it.
+        try:
+            result = result_from_dict(
+                message["result"], unit.granularity, unit.rep
+            )
+            seconds = message.get("seconds")
+            seconds = None if seconds is None else float(seconds)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConnectionError(
+                f"malformed result for {unit_id!r}: {exc!r}"
+            ) from None
+        attempt = owner.state.ack(conn_id, unit_id) if owner is job else None
+        # None: a stale ack — the unit was revoked from this connection,
+        # or this is a replayed delivery.  First ack wins; the copy still
+        # routes through the store so the losing attempt is counted.
+        owner.state.complete(
+            unit, result, attempt=attempt or "stale", seconds=seconds
+        )
+        self._maybe_finish(owner)
+
+    # ---------------------------------------------------------- hosting
+
+    def _host(self, job: HostedJob) -> None:
+        with self._lock:
+            self._order.append(job)
+            if job.status == "running" and job.tenant not in self._vtime:
+                # A tenant joining late starts at the current virtual
+                # floor, not zero — otherwise it would monopolize the
+                # pool until its clock caught up.
+                self._vtime[job.tenant] = min(self._vtime.values(), default=0.0)
+        if job.status == "running" and self._pool is not None:
+            # A fresh job gets a fresh respawn budget: its crashes are
+            # charged to it, not to whatever ran before.
+            self._pool.new_job_epoch()
+
+    def _checkout(
+        self, conn_id: int, lc: "_LineConn"
+    ) -> Optional[tuple[HostedJob, "_Lease"]]:
+        """One scheduling pass over all running jobs in fair-share order;
+        ``None`` when no job has claimable work right now.
+
+        Pass 1 offers only pending queues; pass 2 allows steal and
+        speculation.  A grant advances the winning tenant's virtual
+        time by ``1 / (1 + priority)``."""
+        with self._lock:
+            by_tenant: dict[str, list[HostedJob]] = {}
+            for job in self._order:
+                if job.status == "running" and job.state is not None:
+                    by_tenant.setdefault(job.tenant, []).append(job)
+            tenants = sorted(by_tenant, key=lambda t: (self._vtime.get(t, 0.0), t))
+            workers = self._workers
+        for pending_only in (True, False):
+            for tenant in tenants:
+                jobs = sorted(by_tenant[tenant], key=lambda j: (-j.priority, j.seq))
+                weight = 1 + max(j.priority for j in jobs)
+                for job in jobs:
+                    lease, revoke = job.state.try_checkout(
+                        conn_id, lc, workers, pending_only=pending_only
+                    )
+                    if revoke is not None:
+                        _send_revoke(*revoke)
+                    if lease is not None:
+                        with self._lock:
+                            self._vtime[tenant] = (
+                                self._vtime.get(tenant, 0.0) + 1.0 / weight
+                            )
+                        return job, lease
+        return None
+
+    def _maybe_finish(self, job: HostedJob) -> None:
+        if job.state is None or not job.state.is_complete():
+            return
+        with self._lock:
+            if job.status != "running":
+                return
+            job.status = "done"
+        self._job_done(job)
+
+    def _job_done(self, job: HostedJob) -> None:
+        """A hosted job's last unit was just stored."""
 
     # ------------------------------------------------------- local workers
 
@@ -619,7 +678,162 @@ class SocketExecutor:
             cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
         )
 
-    _reap_worker = staticmethod(_reap_worker)
+
+class SocketExecutor(_WorkerHub):
+    """TCP master that streams units to worker processes, requeues units
+    from dead workers, and steals them back from straggling ones.
+
+    ``spawn_workers`` launches that many local ``campaign worker``
+    subprocesses against the bound port (an int, or a sequence of
+    extra-argv lists for per-worker options — fault-injection tests pass
+    ``["--max-units", "1"]`` to make a worker die mid-campaign).  A
+    spawned worker that *genuinely* crashes (any exit code besides a
+    clean shutdown or the injected fault's) is relaunched up to
+    :data:`WORKER_RESPAWN_LIMIT` times, so one crash doesn't strand
+    local capacity.  External workers connect with
+    ``repro-ftsched campaign worker HOST:PORT`` at any time, including
+    mid-campaign.  ``timeout`` is a *no-activity* deadline, not a wall
+    clock for the whole run: it resets on every message any worker sends
+    (heartbeats, results, hellos), so a campaign with at least one live
+    worker never trips it — however long the run or a single unit takes
+    — while a run with no worker talking (every worker died and none
+    reconnects) raises instead of hanging forever.
+
+    ``lease`` sizes the unit batches handed to workers: an int pins a
+    fixed lease size, ``"auto"`` (the default) adapts to observed unit
+    latency — targeting ~2x the heartbeat interval of work per lease —
+    and a configured :class:`LeasePolicy` instance passes through.
+
+    ``steal`` (``"auto"``, the default, or ``"off"``) controls lease
+    revocation: an idle worker facing an empty queue steals the
+    unstarted remainder of the largest outstanding lease.  An
+    un-started unit costs only a protocol round-trip to move, so this is
+    on by default.  ``speculate`` (``"off"`` by default, or ``"auto"``)
+    additionally duplicates the slowest in-flight unit onto an idle
+    worker near the campaign tail — the only rescue for a wedged worker
+    that heartbeats without progressing; see
+    :class:`~repro.experiments.executors.base.SpeculationPolicy`.
+
+    ``run`` hosts the campaign as the only job of a :class:`_WorkerHub`
+    and writes nothing but the caller's store.  After it returns,
+    ``worker_exit_codes`` holds the exit code of every worker this
+    master spawned, including replaced crashers
+    (``WORKER_EXIT_FAULT_INJECTED`` identifies ``--max-units`` /
+    ``--wedge-after`` fault workers), and ``stolen_units`` /
+    ``speculative_attempts`` count what the straggler mitigation did.
+    """
+
+    name = "socket"
+
+    def __init__(
+        self,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        spawn_workers: Union[int, Sequence[Sequence[str]]] = 0,
+        heartbeat: float = DEFAULT_HEARTBEAT,
+        timeout: Optional[float] = 300.0,
+        lease: LeaseSpec = None,
+        speculate: SpeculationSpec = None,
+        steal: Union[str, bool, None] = None,
+        on_listen: Optional[Callable[[tuple[str, int]], None]] = None,
+    ) -> None:
+        super().__init__(host, port, spawn_workers, heartbeat, speculate, steal)
+        self.timeout = timeout
+        #: called with the *actually bound* ``(host, port)`` right after
+        #: the listening socket exists — the only correct place to learn
+        #: the real port of a ``--bind host:0`` ephemeral bind (the CLI
+        #: announces the master address through this)
+        self.on_listen = on_listen
+        self.lease_policy = LeasePolicy.from_spec(
+            lease, target_seconds=2.0 * heartbeat
+        )
+        self.worker_exit_codes: list[int] = []
+        self.worker_respawns = 0
+        self.stolen_units = 0
+        self.speculative_attempts = 0
+
+    def run(
+        self,
+        units: Sequence[WorkUnit],
+        store: RunStore,
+        progress: Optional[ProgressFn] = None,
+    ) -> None:
+        self._reset()
+        state = _MasterState(
+            units,
+            store,
+            progress,
+            lease_policy=self.lease_policy,
+            speculation=self.speculation,
+            steal=self.steal,
+        )
+        # Bind and spawn *inside* the try: an exception anywhere between
+        # the first spawn and the finally (including a failed spawn
+        # itself, handled inside spawn_all) must still terminate and
+        # reap every child — an interrupted master cannot orphan them.
+        pool = self._pool = WorkerPool(self._worker_specs, self._spawn_worker)
+        self._host(HostedJob("campaign", "default", 0, 0, "running", state))
+        clean = False
+        try:
+            address = self._listen()
+            if self.on_listen is not None:
+                self.on_listen(address)
+            pool.spawn_all()
+            last_activity = -1
+            deadline: Optional[float] = None
+            while not state.wait_done(0.2):
+                if self._activity != last_activity:
+                    # Any worker message resets the clock: `timeout`
+                    # bounds how long the campaign may go with no worker
+                    # talking, not its length or a single unit's runtime.
+                    last_activity = self._activity
+                    deadline = (
+                        None if self.timeout is None
+                        else time.monotonic() + self.timeout
+                    )
+                if deadline is not None and time.monotonic() >= deadline:
+                    missing = state.remaining()
+                    raise TimeoutError(
+                        f"socket campaign heard from no worker for "
+                        f"{self.timeout:.0f}s: {len(missing)} unit(s) still "
+                        f"pending "
+                        f"(first: {missing[0].unit_id if missing else '-'}); "
+                        "are any workers connected?"
+                    )
+                pool.poll_respawn()
+                # Every worker this master spawned has exited (respawn
+                # budget included) and no worker session is left: the
+                # campaign can no longer make progress (e.g. a unit
+                # crashes each worker in turn) — fail now instead of
+                # sitting out the timeout.
+                if pool.all_exited() and self._workers == 0:
+                    missing = state.remaining()
+                    raise RuntimeError(
+                        f"all {len(pool.procs)} spawned worker(s) exited with "
+                        f"{len(missing)} unit(s) incomplete "
+                        f"(first: {missing[0].unit_id if missing else '-'}); "
+                        "check the worker logs — a crashing work unit kills "
+                        "every worker it is requeued to"
+                    )
+            clean = True
+        finally:
+            state.finish()
+            self._close()
+            if not clean:
+                # An exceptional exit (KeyboardInterrupt, timeout, a
+                # raise mid-spawn) must not wait out the workers' own
+                # shutdown: terminate them now so no child survives a
+                # raised run.  On a clean exit the workers get
+                # `shutdown` messages and exit 0 on their own.
+                pool.terminate_all()
+            self.worker_exit_codes = pool.reap_all()
+            self.worker_respawns += pool.respawns
+            self.stolen_units = state.stolen_units
+            self.speculative_attempts = state.speculative_attempts
+
+    def _job_done(self, job: HostedJob) -> None:
+        # The only job is done: sessions send `shutdown` at once.
+        self._stop.set()
 
 
 class _Lease:
@@ -634,21 +848,18 @@ class _Lease:
     """
 
     __slots__ = (
-        "conn_id", "lc", "proto", "order", "remaining", "attempt",
-        "last_progress",
+        "conn_id", "lc", "order", "remaining", "attempt", "last_progress",
     )
 
     def __init__(
         self,
         conn_id: int,
         lc: _LineConn,
-        proto: int,
         units: Sequence[WorkUnit],
         attempt: str,
     ) -> None:
         self.conn_id = conn_id
         self.lc = lc
-        self.proto = proto
         self.order = [u.unit_id for u in units]
         self.remaining = {u.unit_id: u for u in units}
         self.attempt = attempt
@@ -661,11 +872,11 @@ class _Lease:
 
 
 class _MasterState:
-    """Shared queue/accounting between the master's handler threads.
+    """One job's queue and accounting, shared by the hub's sessions.
 
     Work distribution is a three-tier claim, all under one lock:
     pending queue first, then stealing the unstarted tail of the largest
-    outstanding v3 lease, then (opt-in) a speculative duplicate of the
+    outstanding lease, then (opt-in) a speculative duplicate of the
     most-stalled in-flight unit.  Every ack routes through
     :meth:`complete`, whose store append is idempotent — first ack wins,
     losing attempts are counted, never stored.
@@ -689,9 +900,6 @@ class _MasterState:
         self._store = store
         self._progress = progress
         self._finished = False
-        self._active = 0
-        self._activity = 0
-        self._next_conn_id = 0
         self._leases: dict[int, _Lease] = {}
         self._lease_policy = lease_policy or LeasePolicy()
         self._speculation = speculation or SpeculationPolicy()
@@ -704,11 +912,6 @@ class _MasterState:
 
     # ------------------------------------------------------------ leases
 
-    def new_conn_id(self) -> int:
-        with self._cond:
-            self._next_conn_id += 1
-            return self._next_conn_id
-
     def lookup(self, unit_id: Optional[str]) -> Optional[WorkUnit]:
         return self._units_by_id.get(unit_id)
 
@@ -716,29 +919,31 @@ class _MasterState:
         self,
         conn_id: int,
         lc: _LineConn,
-        proto: int,
-        policy: Optional[LeasePolicy],
+        workers: int,
         pending_only: bool = False,
     ) -> tuple[Optional[_Lease], Optional[tuple[_LineConn, list[str]]]]:
-        """One non-blocking claim attempt.
+        """One non-blocking claim attempt for a connection, with
+        ``workers`` live workers sharing the queue (lease sizing).
 
         Returns ``(lease, revoke)``: the claimed lease (or ``None`` when
-        nothing is claimable right now, or the campaign is complete /
+        nothing is claimable right now, or the job is complete /
         aborted — distinguish via :meth:`is_complete`), and the revoke
         notification ``(victim_lc, unit_ids)`` to deliver *outside* any
         lock when the claim stole a tail.  ``pending_only`` restricts
-        the claim to the pending queue — the campaign service's first
-        scheduling pass, so an idle worker drains other jobs' queues
-        before stealing within one.
+        the claim to the pending queue — the hub's first scheduling
+        pass, so an idle worker drains other jobs' queues before
+        stealing within one.  The claim order is pending queue, then a
+        steal, then a speculative duplicate — cheapest source of work
+        first.
         """
         with self._cond:
             if self._finished or len(self._done) >= self._total:
                 return None, None
-            units = self._claim_pending(policy)
+            units = self._claim_pending(workers)
             attempt = "primary"
             revoke: Optional[tuple[_LineConn, list[str]]] = None
             if units is None and self._steal and not pending_only:
-                claim = self._claim_steal(conn_id, proto)
+                claim = self._claim_steal(conn_id)
                 if claim is not None:
                     units, victim_lc, revoked_ids = claim
                     attempt = "stolen"
@@ -749,52 +954,13 @@ class _MasterState:
                     units, attempt = [unit], "speculative"
             if units is None:
                 return None, None
-            lease = _Lease(conn_id, lc, proto, units, attempt)
+            lease = _Lease(conn_id, lc, units, attempt)
             self._leases[conn_id] = lease
             for unit in units:
                 self._in_flight[unit.unit_id] = unit
             return lease, revoke
 
-    def checkout_lease(
-        self,
-        conn_id: int,
-        lc: _LineConn,
-        proto: int,
-        policy: Optional[LeasePolicy],
-    ) -> Optional[_Lease]:
-        """Claim the next lease for a connection; blocks while other
-        workers hold in-flight units (a requeue, steal, or speculation
-        may produce new work); ``None`` once the campaign is complete
-        (or aborted).
-
-        ``policy=None`` (a v1 worker) leases exactly one unit.  The
-        claim order is pending queue, then a steal from the largest
-        outstanding v3 lease, then a speculative duplicate — cheapest
-        source of work first.
-        """
-        while True:
-            lease, revoke = self.try_checkout(conn_id, lc, proto, policy)
-            if revoke is not None:
-                # Sent outside the lock: a victim with a full TCP buffer
-                # must not stall every other handler thread.  The revoke
-                # is advisory — the master already re-leased the stolen
-                # units; a victim that never reads it (wedged) just
-                # wastes its own cycles and its late acks lose the race.
-                victim_lc, revoked_ids = revoke
-                try:
-                    victim_lc.send({"type": "revoke", "unit_ids": revoked_ids})
-                except OSError:
-                    pass  # victim already dead; its lease requeues on reap
-            if lease is not None:
-                return lease
-            with self._cond:
-                if self._finished or len(self._done) >= self._total:
-                    return None
-                self._cond.wait(timeout=0.1)
-
-    def _claim_pending(
-        self, policy: Optional[LeasePolicy]
-    ) -> Optional[list[WorkUnit]]:
+    def _claim_pending(self, workers: int) -> Optional[list[WorkUnit]]:
         """Pop the next lease off the pending queue (None when empty).
 
         Assembly prefers locality: the lease is the queue head plus the
@@ -808,11 +974,9 @@ class _MasterState:
             self._pending.popleft()
         if not self._pending:
             return None
-        k = 1
-        if policy is not None:
-            k = policy.lease_size(
-                len(self._pending), workers=max(1, self._active)
-            )
+        k = self._lease_policy.lease_size(
+            len(self._pending), workers=max(1, workers)
+        )
         lease = [self._pending.popleft()]
         if k > 1:
             key = lease[0].locality_key
@@ -828,23 +992,19 @@ class _MasterState:
         return lease
 
     def _claim_steal(
-        self, conn_id: int, proto: int
+        self, conn_id: int
     ) -> Optional[tuple[list[WorkUnit], _LineConn, list[str]]]:
-        """Steal the unstarted tail of the largest outstanding v3 lease.
+        """Steal the unstarted tail of the largest outstanding lease.
 
         The head of a lease is what the victim is computing right now —
         revoking it would waste that work — so only the tail moves.
-        Victims must speak v3 (they have to understand the ``revoke``);
-        a v2 worker keeps working its lease un-revoked.  Returns the
-        stolen units for the thief, the victim's connection, and the
-        revoked ids (a v1 thief takes a single unit; the rest of the
-        tail returns to the pending queue for anyone).
+        Returns the stolen units for the thief, the victim's connection,
+        and the revoked ids.
         """
         victims = [
             lease
             for lease in self._leases.values()
             if lease.conn_id != conn_id
-            and lease.proto >= 3
             and lease.attempt != "speculative"
             and len(lease.remaining) >= 2
         ]
@@ -854,10 +1014,6 @@ class _MasterState:
         live = [uid for uid in victim.order if uid in victim.remaining]
         revoked_ids = live[1:]
         stolen = [victim.remaining.pop(uid) for uid in revoked_ids]
-        if proto < 2 and len(stolen) > 1:
-            for unit in reversed(stolen[1:]):
-                self._pending.appendleft(unit)
-            stolen = stolen[:1]
         self.stolen_units += len(revoked_ids)
         return stolen, victim.lc, revoked_ids
 
@@ -868,8 +1024,7 @@ class _MasterState:
         ``slow_factor`` x the EWMA unit time, the campaign-wide launch
         budget is not spent, and the unit has attempts left.  Scanning
         each lease in handout order means a wedged worker's *whole*
-        lease gets rescued one unit per idle claim — even a v2 worker's,
-        since speculation needs no protocol support at all.
+        lease gets rescued one unit per idle claim.
         """
         avg = self._lease_policy.observed_unit_seconds
         if self._spec_budget is None:
@@ -902,26 +1057,22 @@ class _MasterState:
         self.speculative_attempts += 1
         return unit
 
-    def ack(
-        self, conn_id: int, unit_id: Optional[str]
-    ) -> tuple[Optional[WorkUnit], str]:
+    def ack(self, conn_id: int, unit_id: Optional[str]) -> Optional[str]:
         """Claim an arriving result against the connection's lease.
 
-        Returns the unit and the lease's attempt tag when the unit was
-        still this connection's to ack; ``(None, "stale")`` when it was
-        revoked, already acked, or never leased here (the caller decides
-        whether a stale ack is legitimate).  Any ack counts as lease
-        progress for the speculation stall clock.
+        Returns the lease's attempt tag when the unit was still this
+        connection's to ack; ``None`` when it was revoked, already
+        acked, or never leased here (a stale ack).  Any ack counts as
+        lease progress for the speculation stall clock.
         """
         with self._cond:
             lease = self._leases.get(conn_id)
             if lease is None:
-                return None, "stale"
+                return None
             lease.last_progress = time.monotonic()
-            unit = lease.remaining.pop(unit_id, None)
-            if unit is None:
-                return None, "stale"
-            return unit, lease.attempt
+            if lease.remaining.pop(unit_id, None) is None:
+                return None
+            return lease.attempt
 
     def retire_lease(self, conn_id: int) -> None:
         """Drop a fully-drained lease (nothing left to requeue)."""
@@ -947,8 +1098,16 @@ class _MasterState:
     # -------------------------------------------------------- completion
 
     def complete(
-        self, unit: WorkUnit, result, attempt: str = "primary"
+        self,
+        unit: WorkUnit,
+        result,
+        attempt: str = "primary",
+        seconds: Optional[float] = None,
     ) -> None:
+        """Store one result; ``seconds`` (the worker's compute time)
+        feeds the lease policy's EWMA."""
+        if seconds is not None:
+            self._lease_policy.observe(seconds)
         with self._cond:
             self._in_flight.pop(unit.unit_id, None)
             # First ack wins: the store's idempotent append decides, so
@@ -966,29 +1125,6 @@ class _MasterState:
 
     # -------------------------------------------------------- accounting
 
-    def note_activity(self) -> None:
-        """A worker message arrived (heartbeat/result/hello); the master
-        uses this to distinguish "slow but alive" from "all dead"."""
-        with self._cond:
-            self._activity += 1
-
-    def activity_count(self) -> int:
-        with self._cond:
-            return self._activity
-
-    def connection_opened(self) -> None:
-        with self._cond:
-            self._active += 1
-
-    def connection_closed(self) -> None:
-        with self._cond:
-            self._active -= 1
-            self._cond.notify_all()
-
-    def active_connections(self) -> int:
-        with self._cond:
-            return self._active
-
     def remaining(self) -> list[WorkUnit]:
         with self._cond:
             return list(self._pending) + list(self._in_flight.values())
@@ -1005,10 +1141,6 @@ class _MasterState:
                 self._cond.wait(timeout=wait_for)
             return True
 
-    def is_finished(self) -> bool:
-        with self._cond:
-            return self._finished
-
     def is_complete(self) -> bool:
         """Every unit's result is in the store (the job is done)."""
         with self._cond:
@@ -1024,27 +1156,29 @@ class _MasterState:
             self._finished = True
             self._cond.notify_all()
 
-    def abort(self) -> list[tuple[_LineConn, int, list[str]]]:
+    def abort(self) -> list[tuple[_LineConn, list[str]]]:
         """Cancel: mark finished, strip every outstanding lease (so
         serving loops drain immediately instead of waiting on results
-        that no longer matter), and return ``(lc, proto, unit_ids)``
-        revoke notifications to deliver outside the lock.  Late acks
-        for stripped units land as stale and are swallowed by the
-        store's idempotent append."""
+        that no longer matter), and return ``(lc, unit_ids)`` revoke
+        notifications to deliver outside the lock.  Late acks for
+        stripped units land as stale and are swallowed by the store's
+        idempotent append."""
         with self._cond:
             self._finished = True
-            notices: list[tuple[_LineConn, int, list[str]]] = []
+            notices: list[tuple[_LineConn, list[str]]] = []
             for lease in self._leases.values():
                 ids = [uid for uid in lease.order if uid in lease.remaining]
                 if not ids:
                     continue
-                notices.append((lease.lc, lease.proto, ids))
+                notices.append((lease.lc, ids))
                 for uid in ids:
                     lease.remaining.pop(uid, None)
                     self._in_flight.pop(uid, None)
             self._pending.clear()
             self._cond.notify_all()
         return notices
+
+
 
 
 # ---------------------------------------------------------------- worker
@@ -1100,7 +1234,7 @@ def run_worker(
     worker may race the master's bind).  A daemon thread heartbeats for
     the life of the connection so the master can tell "still computing"
     from "dead"; a second daemon owns all socket reads and feeds an
-    inbox queue, so mid-lease control traffic — a v3 ``revoke`` — is
+    inbox queue, so mid-lease control traffic — a ``revoke`` — is
     seen between units, not after the whole lease.  Revoked units still
     pending locally are skipped (the master already re-leased them).
     ``idle_timeout`` bounds how long the worker waits for the master's
@@ -1130,8 +1264,8 @@ def run_worker(
       revoke-vs-ack race: its late acks must lose first-ack-wins.
 
     Returns a process exit code: ``WORKER_EXIT_OK`` after a clean
-    shutdown, ``WORKER_EXIT_ERROR`` on a genuine failure (and from
-    ``die_after``), and ``WORKER_EXIT_FAULT_INJECTED`` when the
+    shutdown, ``WORKER_EXIT_ERROR`` on a genuine failure, an ``error``
+    reply refusing the ``hello`` (and from ``die_after``), and ``WORKER_EXIT_FAULT_INJECTED`` when the
     ``max_units`` budget ran out or a ``wedge_after`` stall ended —
     distinct codes, so the conformance harness can assert *why* a
     worker died.
@@ -1177,7 +1311,7 @@ def run_worker(
         try:
             while True:
                 inbox.put(lc.recv(timeout=idle_timeout))
-        except (ConnectionError, OSError, json.JSONDecodeError):
+        except (ConnectionError, OSError):
             conn_dead.set()
             inbox.put(None)
 
@@ -1208,12 +1342,19 @@ def run_worker(
                             file=sys.stderr,
                         )
                     return WORKER_EXIT_OK
+                if kind == "error":
+                    # The master refused this worker (version skew, bad
+                    # hello): retrying cannot help.
+                    print(
+                        f"worker {label}: master refused: "
+                        f"{message.get('error')}",
+                        file=sys.stderr,
+                    )
+                    return WORKER_EXIT_ERROR
                 if kind == "lease":
                     pending.extend(
                         WorkUnit.from_dict(d) for d in message["units"]
                     )
-                elif kind == "unit":
-                    pending.append(WorkUnit.from_dict(message["unit"]))
                 elif kind == "revoke":
                     ids = set(message.get("unit_ids", ()))
                     if ignore_revoke:

@@ -1,15 +1,15 @@
-"""One entry point per figure of the paper, plus shape checking.
+"""The paper-figure entry point, plus shape checking.
 
-``figure1()``..``figure6()`` regenerate the corresponding figure's data;
+:func:`run_figure` regenerates the data of paper figure N;
 :func:`check_shape` asserts the qualitative findings of §6 hold on a
 campaign result (who wins, how overheads order, bounds sanity).  The
 benchmarks call these and print the paper-style panels.
 
 The figures themselves now live as shipped campaign specs
-(``repro/experiments/specs/figure*.json``); :func:`run_figure` and the
-``figure1..6`` entry points are thin deprecated shims that load the
-spec, apply their keyword overrides, and run the same grid — pinned
-bit-identical to the historical keyword path.  New code should build a
+(``repro/experiments/specs/figure*.json``); :func:`run_figure` is a thin
+deprecated shim that loads the spec, applies its keyword overrides, and
+runs the same grid — pinned bit-identical to the historical keyword
+path.  New code should build a
 :class:`repro.experiments.api.CampaignSpec` directly.
 """
 
@@ -81,51 +81,6 @@ def run_figure(
         workers=workers,
         resume=resume,
     )[0]
-
-
-def _figure_entry(number: int, docstring: str) -> Callable[..., CampaignResult]:
-    """One paper-figure entry point, with every campaign option threaded
-    through explicitly (same signature for all six figures — no ``**kw``
-    passthrough, so typos fail loudly and help() tells the truth)."""
-
-    def entry(
-        num_graphs: Optional[int] = None,
-        progress: Optional[Callable[[str], None]] = None,
-        workers: Optional[int] = None,
-        fast: Optional[bool] = None,
-        model: Optional[str] = None,
-        topology: Optional[str] = None,
-        policy: Optional[str] = None,
-        executor=None,
-        store=None,
-        resume: bool = False,
-    ) -> CampaignResult:
-        return run_figure(
-            number,
-            num_graphs=num_graphs,
-            progress=progress,
-            workers=workers,
-            fast=fast,
-            model=model,
-            topology=topology,
-            policy=policy,
-            executor=executor,
-            store=store,
-            resume=resume,
-        )
-
-    entry.__name__ = f"figure{number}"
-    entry.__qualname__ = entry.__name__
-    entry.__doc__ = docstring + "\n\n    Accepts every :func:`run_figure` option."
-    return entry
-
-
-figure1 = _figure_entry(1, """Sweep A, m=10, ε=1, 1 crash (paper Figure 1).""")
-figure2 = _figure_entry(2, """Sweep A, m=10, ε=3, 2 crashes (paper Figure 2).""")
-figure3 = _figure_entry(3, """Sweep A, m=20, ε=5, 3 crashes (paper Figure 3).""")
-figure4 = _figure_entry(4, """Sweep B, m=10, ε=1, 1 crash (paper Figure 4).""")
-figure5 = _figure_entry(5, """Sweep B, m=10, ε=3, 2 crashes (paper Figure 5).""")
-figure6 = _figure_entry(6, """Sweep B, m=20, ε=5, 3 crashes (paper Figure 6).""")
 
 
 @dataclass

@@ -24,7 +24,6 @@ This module owns the science (generation, :func:`run_rep`, aggregation);
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
@@ -548,73 +547,3 @@ class CampaignResult:
                 if unit.unit_id in results:
                     reps.append(results[unit.unit_id])
         return cls(config=config, reps=reps)
-
-
-class ParallelHarness:
-    """Deprecated multi-process campaign runner (compatibility shim).
-
-    .. deprecated::
-        Describe campaigns as data instead: a
-        :class:`repro.experiments.api.CampaignSpec` with
-        ``executor={"kind": "process", "workers": N}`` run through
-        :class:`repro.experiments.api.Campaign` — or pass
-        ``workers=N`` straight to :func:`run_campaign`.
-
-    The historical front end of the process-pool path; the pool itself
-    now lives in :class:`repro.experiments.executors.ProcessExecutor`
-    and this class simply delegates, keeping the clamp semantics and the
-    ``run_campaign`` method callers rely on.
-    """
-
-    def __init__(self, workers: Optional[int] = None, clamp: bool = True) -> None:
-        from repro.experiments.executors.process import effective_workers
-
-        warnings.warn(
-            "ParallelHarness is deprecated; describe the campaign with "
-            "repro.experiments.api.CampaignSpec (executor kind 'process') "
-            "or call run_campaign(workers=N)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.workers = effective_workers(workers, clamp)
-
-    def run_campaign(
-        self,
-        config: ExperimentConfig,
-        progress: Optional[Callable[[str], None]] = None,
-    ) -> CampaignResult:
-        from repro.experiments.campaign import run_campaign
-        from repro.experiments.executors.process import ProcessExecutor
-
-        # self.workers is already clamped per this instance's settings.
-        executor = ProcessExecutor(self.workers, clamp=False)
-        return run_campaign(config, progress=progress, executor=executor)
-
-
-def run_campaign(
-    config: ExperimentConfig,
-    progress: Optional[Callable[[str], None]] = None,
-    workers: Optional[int] = None,
-    executor=None,
-    store=None,
-    resume: bool = False,
-) -> CampaignResult:
-    """Run the full granularity sweep of one figure.
-
-    Delegates to :func:`repro.experiments.campaign.run_campaign` (kept
-    here because the harness has always been the import site).
-    ``workers`` > 1 distributes the campaign's work units over that many
-    processes; ``executor=``/``store=``/``resume=`` expose the
-    distributed and resumable paths.  The result is identical whichever
-    way the units ran.
-    """
-    from repro.experiments.campaign import run_campaign as _run_campaign
-
-    return _run_campaign(
-        config,
-        progress=progress,
-        workers=workers,
-        executor=executor,
-        store=store,
-        resume=resume,
-    )

@@ -4,19 +4,20 @@ The :class:`SocketExecutor` master runs exactly one campaign and dies
 with it.  :class:`CampaignService` inverts that ownership: one
 long-lived master process accepts many :class:`~repro.experiments.api.
 CampaignSpec` submissions over the wire, runs them as *jobs* on one
-shared worker pool, and outlives every one of them.  Each job keeps the
-full unit-level machinery of the socket executor — batch leases, crash
-requeue, work stealing, speculation, first-ack-wins dedup — by owning
-its own :class:`~repro.experiments.executors.socket._MasterState`, its
-own per-job :class:`~repro.experiments.executors.base.LeasePolicy`
-(one job's unit times never size another's leases), and its own durable
-store under the service root, so every bit-identical guarantee holds
-per job.
+shared worker pool, and outlives every one of them.  Both are fronts on
+the same worker-serving core (``_WorkerHub`` in
+:mod:`repro.experiments.executors.socket`): the service adds durable
+jobs and the client verbs below.  Each job keeps the full unit-level
+machinery — batch leases, crash requeue, work stealing, speculation,
+first-ack-wins dedup — by owning its own
+:class:`~repro.experiments.executors.socket._MasterState` with its own
+:class:`~repro.experiments.executors.base.LeasePolicy` (one job's unit
+times never size another's leases), and its own durable store under the
+service root, so every bit-identical guarantee holds per job.
 
-Wire protocol v4 extends v3 with *client* messages; the worker flow
-(``hello`` / ``lease`` / ``result`` / ``revoke`` / ``shutdown``) is
-unchanged, and a connection is classified by its first message — a
-``hello`` is a worker, anything else is a client:
+The worker flow (``hello`` / ``lease`` / ``result`` / ``revoke`` /
+``shutdown``) is the socket master's; a connection is classified by its
+first message — a ``hello`` is a worker, anything else is a client:
 
 ================  ==============================================  =========
 message           fields                                          direction
@@ -35,15 +36,10 @@ message           fields                                          direction
 ``error``         ``error``, optional ``key``                     s -> c
 ================  ==============================================  =========
 
-**Scheduling** is two-level.  Across tenants: weighted fair queuing —
-each tenant has a virtual time advanced by ``1 / (1 + priority)`` per
-granted lease, and the idle worker is offered work from the runnable
-tenant with the smallest virtual time first (ties break by tenant
-name), so a priority-1 tenant receives twice the grants of a priority-0
-tenant while the priority-0 tenant still makes continuous progress —
-neither can starve the other.  Within a tenant: highest priority, then
-submission order.  An idle worker drains *pending* queues across all
-jobs before stealing or speculating within one.
+**Scheduling** is the hub's weighted-fair-share checkout: a
+priority-1 tenant receives twice the grants of a priority-0 tenant while
+the priority-0 tenant still makes continuous progress — neither can
+starve the other.
 
 **Durability**: every submitted spec's store is rewritten under
 ``root/jobs/<job_id>/store`` (an in-memory store becomes JSONL — a
@@ -71,8 +67,6 @@ import json
 import os
 import shutil
 import socket
-import subprocess
-import sys
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -84,18 +78,18 @@ from repro.experiments.executors.base import (
     LeasePolicy,
     LeaseSpec,
     ProgressFn,
-    SpeculationPolicy,
     SpeculationSpec,
-    parse_steal,
 )
 from repro.experiments.executors.socket import (
-    DEAD_AFTER_BEATS,
     DEFAULT_HEARTBEAT,
     PROTO_VERSION,
+    HostedJob,
     WorkerPool,
     _connect_with_backoff,
     _LineConn,
     _MasterState,
+    _send_revoke,
+    _WorkerHub,
 )
 from repro.experiments.grid import WorkUnit
 from repro.experiments.store import (
@@ -171,20 +165,13 @@ def gc_job_dirs(
 
 
 @dataclass
-class ServiceJob:
+class ServiceJob(HostedJob):
     """One submitted campaign: identity, its own master state + store,
     and the mutable lifecycle state the service persists."""
 
-    job_id: str
-    tenant: str
-    priority: int
-    seq: int
-    status: str
     spec: Optional[CampaignSpec] = None
     directory: Optional[Path] = None
     store: Optional[RunStore] = None
-    state: Optional[_MasterState] = None
-    lease_policy: Optional[LeasePolicy] = None
     error: Optional[str] = None
     #: terminal done/total recorded at persist time (recovered terminal
     #: jobs have no live state to count from)
@@ -272,7 +259,7 @@ class _RelayStore:
         pass
 
 
-class CampaignService:
+class CampaignService(_WorkerHub):
     """A long-lived campaign master serving many jobs on one worker pool.
 
     ``root`` is the durable service directory (jobs live under
@@ -298,30 +285,11 @@ class CampaignService:
         steal: Union[str, bool, None] = None,
         job_ttl: Optional[float] = None,
     ) -> None:
+        super().__init__(host, port, spawn_workers, heartbeat, speculate, steal)
         self.root = Path(root)
-        self.host = host
-        self.port = port
-        self.heartbeat = heartbeat
         self._lease_spec = lease
-        self.speculation = SpeculationPolicy.from_spec(speculate)
-        self.steal = parse_steal(steal)
-        if isinstance(spawn_workers, int):
-            self._worker_specs: list[list[str]] = [[] for _ in range(spawn_workers)]
-        else:
-            self._worker_specs = [list(extra) for extra in spawn_workers]
-        self.address: Optional[tuple[str, int]] = None
-        self._server: Optional[socket.socket] = None
-        self._pool: Optional[WorkerPool] = None
-        self._stop = threading.Event()
-        self._lock = threading.Lock()
         self._jobs: dict[str, ServiceJob] = {}
-        self._order: list[ServiceJob] = []
         self._seq = 0
-        self._next_conn_id = 0
-        #: weighted-fair-queuing virtual time per tenant
-        self._vtime: dict[str, float] = {}
-        self._conns: set[_LineConn] = set()
-        self._dead_after = max(heartbeat * DEAD_AFTER_BEATS, 5.0)
         if job_ttl is not None and job_ttl < 0:
             raise ValueError(f"job ttl must be >= 0, got {job_ttl}")
         #: prune terminal job dirs older than this many seconds (None
@@ -339,17 +307,11 @@ class CampaignService:
         if self.job_ttl is not None:
             gc_job_dirs(self.root, self.job_ttl)
         self._recover_jobs()
-        self._server = socket.create_server((self.host, self.port))
-        self.address = self._server.getsockname()[:2]
+        host, port = self._listen()
         _atomic_write_json(
             self.root / SERVICE_FILE_NAME,
-            {"host": self.address[0], "port": self.address[1], "pid": os.getpid()},
+            {"host": host, "port": port, "pid": os.getpid()},
         )
-        threading.Thread(
-            target=self._accept_loop,
-            name="campaign-service-accept",
-            daemon=True,
-        ).start()
         self._pool = WorkerPool(self._worker_specs, self._spawn_worker)
         self._pool.spawn_all()
         threading.Thread(
@@ -406,11 +368,7 @@ class CampaignService:
                 time.sleep(0.05)
             self._pool.terminate_all()
             self._pool.reap_all()
-        if self._server is not None:
-            try:
-                self._server.close()
-            except OSError:
-                pass
+        self._close()
         with self._lock:
             conns = list(self._conns)
             jobs = list(self._order)
@@ -497,7 +455,6 @@ class CampaignService:
         completed = store.completed_ids()
         todo = [u for u in grid.units() if u.unit_id not in completed]
         job.store = store
-        job.lease_policy = self._job_lease_policy(job.spec.lease)
         if not todo:
             job.status = "done"
             job.final_counts = (grid.total_units, grid.total_units)
@@ -505,7 +462,7 @@ class CampaignService:
             store.close()
             job.store = None
             return
-        job.state = self._new_state(todo, store, job.lease_policy)
+        job.state = self._new_state(todo, store, job.spec.lease)
         job.status = "running"
         job.persist()
 
@@ -552,8 +509,7 @@ class CampaignService:
         store = make_store(spec.store.resolved_backend, store_dir)
         store.ensure_manifest(grid, extra=self._manifest_extra(job))
         job.store = store
-        job.lease_policy = self._job_lease_policy(spec.lease)
-        job.state = self._new_state(grid.units(), store, job.lease_policy)
+        job.state = self._new_state(grid.units(), store, spec.lease)
         job.persist()
         self._register(job)
         return job.snapshot()
@@ -582,25 +538,14 @@ class CampaignService:
         )
         store = _RelayStore(lc, job_id)
         job.store = store  # type: ignore[assignment]
-        job.lease_policy = self._job_lease_policy(None)
-        job.state = self._new_state(units, store, job.lease_policy)
+        job.state = self._new_state(units, store, None)
         self._register(job)
         return job
 
     def _register(self, job: ServiceJob) -> None:
         with self._lock:
             self._jobs[job.job_id] = job
-            self._order.append(job)
-            if job.status == "running" and job.tenant not in self._vtime:
-                # A tenant joining late starts at the current virtual
-                # floor, not zero — otherwise it would monopolize the
-                # pool until its clock caught up.
-                floor = min(self._vtime.values(), default=0.0)
-                self._vtime[job.tenant] = floor
-        if job.status == "running" and self._pool is not None:
-            # A fresh job gets a fresh respawn budget: its crashes are
-            # charged to it, not to whatever ran before.
-            self._pool.new_job_epoch()
+        self._host(job)
 
     def _check_tenant(self, tenant, priority) -> tuple[str, int]:
         if not isinstance(tenant, str) or not tenant:
@@ -624,24 +569,21 @@ class CampaignService:
             }
         }
 
-    def _job_lease_policy(self, spec_lease: LeaseSpec) -> LeasePolicy:
-        """A fresh per-job policy: the job spec's ``lease`` field wins,
-        else the service default — never a shared EWMA instance."""
+    def _new_state(self, units, store, spec_lease: LeaseSpec) -> _MasterState:
+        # A fresh per-job lease policy: the job spec's ``lease`` field
+        # wins, else the service default — never a shared EWMA instance.
+        # SpeculationPolicy is stateless configuration (the per-job
+        # launch budget counter lives in _MasterState), so sharing the
+        # service-wide instance across jobs is safe.
         spec = spec_lease if spec_lease is not None else self._lease_spec
         policy = LeasePolicy.from_spec(spec, target_seconds=2.0 * self.heartbeat)
         if policy is spec:
             policy = policy.clone()
-        return policy
-
-    def _new_state(self, units, store, lease_policy: LeasePolicy) -> _MasterState:
-        # SpeculationPolicy is stateless configuration (the per-job
-        # launch budget counter lives in _MasterState), so sharing the
-        # service-wide instance across jobs is safe.
         return _MasterState(
             units,
             store,
             None,
-            lease_policy=lease_policy,
+            lease_policy=policy,
             speculation=self.speculation,
             steal=self.steal,
         )
@@ -679,214 +621,28 @@ class CampaignService:
             job.final_counts = job.counts()
             job.status = "cancelled"
         notices = job.state.abort() if job.state is not None else []
-        for lc, proto, unit_ids in notices:
-            if proto >= 3:
-                try:
-                    lc.send({"type": "revoke", "unit_ids": unit_ids})
-                except OSError:
-                    pass
+        for lc, unit_ids in notices:
+            _send_revoke(lc, unit_ids)
         job.persist()
         if job.store is not None and not job.relay:
             job.store.close()
         return job.snapshot()
 
-    # ----------------------------------------------------------- scheduling
-
-    def _runnable_by_tenant(self) -> dict[str, list[ServiceJob]]:
-        by_tenant: dict[str, list[ServiceJob]] = {}
-        for job in self._order:
-            if job.status == "running" and job.state is not None:
-                by_tenant.setdefault(job.tenant, []).append(job)
-        return by_tenant
-
-    def _checkout(
-        self, conn_id: int, lc: _LineConn, proto: int
-    ) -> Optional[tuple[ServiceJob, object]]:
-        """One scheduling pass over all runnable jobs in fair-share
-        order; ``None`` when no job has claimable work right now.
-
-        Pass 1 offers only pending queues (an idle worker drains other
-        jobs before stealing within one); pass 2 allows steal and
-        speculation.  A successful grant advances the winning tenant's
-        virtual time by ``1 / (1 + priority)`` — the weighted-fair-share
-        clock."""
-        with self._lock:
-            by_tenant = self._runnable_by_tenant()
-            tenants = sorted(by_tenant, key=lambda t: (self._vtime.get(t, 0.0), t))
-        for pending_only in (True, False):
-            for tenant in tenants:
-                jobs = sorted(by_tenant[tenant], key=lambda j: (-j.priority, j.seq))
-                weight = 1 + max(j.priority for j in jobs)
-                for job in jobs:
-                    policy = job.lease_policy if proto >= 2 else None
-                    lease, revoke = job.state.try_checkout(
-                        conn_id, lc, proto, policy, pending_only=pending_only
-                    )
-                    if revoke is not None:
-                        victim_lc, revoked_ids = revoke
-                        try:
-                            victim_lc.send(
-                                {"type": "revoke", "unit_ids": revoked_ids}
-                            )
-                        except OSError:
-                            pass
-                    if lease is not None:
-                        with self._lock:
-                            self._vtime[tenant] = (
-                                self._vtime.get(tenant, 0.0) + 1.0 / weight
-                            )
-                        return job, lease
-        return None
-
-    def _maybe_finish(self, job: ServiceJob) -> None:
-        if job.state is None or not job.state.is_complete():
-            return
-        with self._lock:
-            if job.status != "running":
-                return
-            job.final_counts = job.state.progress_counts()
-            job.status = "done"
+    def _job_done(self, job: ServiceJob) -> None:
+        job.final_counts = job.state.progress_counts()
         job.persist()
         if job.store is not None and not job.relay:
             job.store.close()
 
-    # ------------------------------------------------------------- serving
-
-    def _accept_loop(self) -> None:
-        self._server.settimeout(0.2)
-        while not self._stop.is_set():
-            try:
-                conn, _addr = self._server.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            threading.Thread(
-                target=self._serve_connection,
-                args=(conn,),
-                name="campaign-service-conn",
-                daemon=True,
-            ).start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        lc = _LineConn(conn)
-        with self._lock:
-            self._conns.add(lc)
-        try:
-            first = lc.recv(timeout=self._dead_after)
-        except (ConnectionError, OSError, socket.timeout, json.JSONDecodeError):
-            with self._lock:
-                self._conns.discard(lc)
-            lc.close()
-            return
-        try:
-            if first.get("type") == "hello":
-                self._serve_worker(lc, first)
-            elif first.get("type") == "submit_units":
-                self._serve_relay_client(lc, first)
-            else:
-                self._serve_client(lc, first)
-        except (ConnectionError, OSError, socket.timeout, json.JSONDecodeError):
-            pass
-        finally:
-            with self._lock:
-                self._conns.discard(lc)
-            lc.close()
-
-    # -- workers
-
-    def _serve_worker(self, lc: _LineConn, hello: dict) -> None:
-        with self._lock:
-            self._next_conn_id += 1
-            conn_id = self._next_conn_id
-        proto = min(PROTO_VERSION, int(hello.get("proto", 1)))
-        worker_beat = float(hello.get("heartbeat", self.heartbeat))
-        dead_after = max(self._dead_after, worker_beat * DEAD_AFTER_BEATS)
-        # unit_id -> owning job for everything ever leased to this
-        # connection: a stale ack (revoked unit, replayed delivery) must
-        # route to the job that leased it.  Unit ids can collide across
-        # jobs running the same spec; last lease wins, which at worst
-        # lands an *identical* row in the twin job's store (idempotent
-        # append) — never a wrong row.
-        ever_leased: dict[str, ServiceJob] = {}
-        lease_job: Optional[ServiceJob] = None
-        try:
-            while not self._stop.is_set():
-                claim = self._checkout(conn_id, lc, proto)
-                if claim is None:
-                    # Nothing leasable: consume heartbeats (and notice a
-                    # dead worker) while idling between jobs.
-                    try:
-                        message = lc.recv(timeout=0.2)
-                    except socket.timeout:
-                        continue
-                    if message.get("type") == "result":
-                        self._stale_result(message, ever_leased)
-                    continue
-                job, lease = claim
-                lease_job = job
-                for uid in lease.remaining:
-                    ever_leased[uid] = job
-                if proto >= 2:
-                    lc.send(
-                        {"type": "lease",
-                         "units": [u.to_dict() for u in lease.units()]}
-                    )
-                else:
-                    lc.send({"type": "unit", "unit": lease.units()[0].to_dict()})
-                while lease.remaining:
-                    message = lc.recv(timeout=dead_after)
-                    if self._stop.is_set():
-                        return
-                    kind = message.get("type")
-                    if kind == "heartbeat":
-                        continue
-                    if kind != "result":
-                        raise ConnectionError(
-                            f"unexpected message type {kind!r}"
-                        )
-                    unit_id = message.get("unit_id")
-                    unit, attempt = job.state.ack(conn_id, unit_id)
-                    if unit is None:
-                        self._stale_result(message, ever_leased)
-                        continue
-                    result = result_from_dict(
-                        message["result"], unit.granularity, unit.rep
-                    )
-                    job.state.complete(unit, result, attempt=attempt)
-                    seconds = message.get("seconds")
-                    if seconds is not None:
-                        job.lease_policy.observe(float(seconds))
-                    self._maybe_finish(job)
-                job.state.retire_lease(conn_id)
-                lease_job = None
-            lc.send({"type": "shutdown"})
-        finally:
-            if lease_job is not None:
-                lease_job.state.requeue_lease(conn_id)
-
-    def _stale_result(
-        self, message: dict, ever_leased: Mapping[str, ServiceJob]
-    ) -> None:
-        """Route a result outside any current lease to the job that
-        once leased it here; anything else is a version-skewed or buggy
-        worker and kills the connection."""
-        unit_id = message.get("unit_id")
-        owner = ever_leased.get(unit_id)
-        unit = owner.state.lookup(unit_id) if owner is not None else None
-        if unit is None:
-            raise ConnectionError(
-                f"result for {unit_id!r} outside this worker's leases"
-            )
-        result = result_from_dict(message["result"], unit.granularity, unit.rep)
-        owner.state.complete(unit, result, attempt="stale")
-        self._maybe_finish(owner)
-
-    # -- clients
+    # -------------------------------------------------------------- clients
 
     def _serve_client(self, lc: _LineConn, first: dict) -> None:
         """Request/response client connection (``submit`` / ``status`` /
-        ``jobs`` / ``cancel``); serves until the client hangs up."""
+        ``jobs`` / ``cancel``), served until the client hangs up; a
+        ``submit_units`` connection is a relay job."""
+        if first.get("type") == "submit_units":
+            self._serve_relay_client(lc, first)
+            return
         message = first
         while True:
             lc.send(self._client_reply(message))
@@ -953,30 +709,6 @@ class CampaignService:
     def _supervise_loop(self) -> None:
         while not self._stop.wait(timeout=0.2):
             self._pool.poll_respawn()
-            with self._lock:
-                jobs = list(self._order)
-            for job in jobs:
-                if job.status == "running":
-                    self._maybe_finish(job)
-
-    def _spawn_worker(self, extra_args: Sequence[str]) -> subprocess.Popen:
-        host, port = self.address
-        env = os.environ.copy()
-        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-        cmd = [
-            sys.executable,
-            "-m",
-            "repro.cli",
-            "campaign",
-            "worker",
-            f"{host}:{port}",
-            "--heartbeat",
-            str(self.heartbeat),
-            *extra_args,
-        ]
-        return subprocess.Popen(
-            cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
-        )
 
 
 # ------------------------------------------------------------------ clients

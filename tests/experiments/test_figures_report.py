@@ -5,9 +5,9 @@ import math
 
 import pytest
 
+from repro.experiments.campaign import run_campaign
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import check_shape, run_figure
-from repro.experiments.harness import run_campaign
 from repro.experiments.report import (
     messages_table,
     panel_a,

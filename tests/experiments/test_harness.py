@@ -13,11 +13,11 @@ from repro.experiments.config import (
     ExperimentConfig,
     default_num_graphs,
 )
+from repro.experiments.campaign import run_campaign
+from repro.experiments.executors.process import ProcessExecutor, effective_workers
 from repro.experiments.harness import (
     ALGORITHM_RUNNERS,
-    ParallelHarness,
     generate_instance,
-    run_campaign,
     run_point,
     run_rep,
 )
@@ -166,6 +166,8 @@ class TestCampaign:
 
 
 class TestParallelHarness:
+    """The process-pool campaign path and its CPU clamp."""
+
     @pytest.fixture(scope="class")
     def cfg(self):
         return ExperimentConfig(
@@ -183,35 +185,34 @@ class TestParallelHarness:
         b = run_rep(cfg, 0.5, 0)
         assert a == b
 
-    def test_is_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="CampaignSpec"):
-            ParallelHarness(1)
-
     def test_workers_do_not_change_results(self, cfg):
         serial = run_campaign(cfg)
-        with pytest.warns(DeprecationWarning):
-            parallel = ParallelHarness(2, clamp=False).run_campaign(cfg)
+        parallel = run_campaign(cfg, executor=ProcessExecutor(2, clamp=False))
         assert serial.rows() == parallel.rows()
 
     def test_parallel_progress_covers_all_jobs(self, cfg):
         messages = []
-        with pytest.warns(DeprecationWarning):
-            harness = ParallelHarness(2, clamp=False)
-        harness.run_campaign(cfg, progress=messages.append)
+        run_campaign(
+            cfg,
+            progress=messages.append,
+            executor=ProcessExecutor(2, clamp=False),
+        )
         assert len(messages) == len(cfg.granularities) * cfg.num_graphs
 
     def test_workers_one_is_serial(self, cfg):
-        with pytest.warns(DeprecationWarning):
-            assert ParallelHarness(1).workers <= 1
-            assert ParallelHarness(None).workers == 0
+        assert effective_workers(1) <= 1
+        assert effective_workers(None) == 0
+        assert ProcessExecutor(1).workers <= 1
+        assert ProcessExecutor(None).workers == 0
 
     def test_workers_clamped_to_cpus(self):
         import os
 
         cpus = os.cpu_count() or 1
-        with pytest.warns(DeprecationWarning):
-            assert ParallelHarness(cpus + 7).workers <= cpus
-            assert ParallelHarness(cpus + 7, clamp=False).workers == cpus + 7
+        assert effective_workers(cpus + 7) <= cpus
+        assert effective_workers(cpus + 7, clamp=False) == cpus + 7
+        assert ProcessExecutor(cpus + 7).workers <= cpus
+        assert ProcessExecutor(cpus + 7, clamp=False).workers == cpus + 7
 
     def test_fast_flag_does_not_change_results(self, cfg):
         from dataclasses import replace

@@ -11,12 +11,12 @@ import pytest
 
 from repro.comm.oneport import OnePortNetwork
 from repro.comm.routed import RoutedOnePortNetwork
+from repro.experiments.campaign import run_campaign
 from repro.experiments.config import FIGURES, ExperimentConfig
 from repro.experiments.harness import (
     campaign_network,
     generate_instance,
     generate_topology,
-    run_campaign,
     run_rep,
 )
 

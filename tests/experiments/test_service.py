@@ -27,7 +27,7 @@ from repro.experiments.executors import (
     WORKER_EXIT_FAULT_INJECTED,
     sockets_available,
 )
-from repro.experiments.executors.socket import _LineConn
+from repro.experiments.executors.socket import PROTO_VERSION, _LineConn
 from repro.experiments.grid import WorkUnit
 from repro.experiments.service import CampaignService, ServiceClient
 from repro.experiments.store import result_to_dict
@@ -54,6 +54,14 @@ def serial_rep_rows(pinned_config, tmp_path_factory):
     run_campaign(pinned_config, executor="serial", store=directory)
     with open_store(directory) as store:
         return store.rep_rows()
+
+
+def _single_unit_lease(message):
+    """The one unit of a lease (the probes' leases never grow: they
+    report no unit seconds, so the adaptive policy stays uncalibrated)."""
+    assert message["type"] == "lease", message["type"]
+    [unit] = [WorkUnit.from_dict(d) for d in message["units"]]
+    return unit
 
 
 class TestMultiTenantService:
@@ -90,8 +98,9 @@ class TestMultiTenantService:
         # alice (priority 0) submits first; bob (priority 1) second.
         # Weighted fair queuing must give bob ~2/3 of the grants while
         # alice keeps ~1/3 — neither tenant starves the other.  A
-        # hand-rolled v1 worker (one unit per round-trip) observes the
-        # exact grant sequence; jobs are distinguished by granularity.
+        # hand-rolled worker that never reports unit seconds keeps every
+        # adaptive lease at one unit, so it observes the exact grant
+        # sequence; jobs are distinguished by granularity.
         base = replace(
             FIGURES[1].with_graphs(4).with_network(topology="ring"),
             num_procs=6,
@@ -109,14 +118,10 @@ class TestMultiTenantService:
             order = []
             lc = _LineConn(socket.create_connection(address, timeout=10.0))
             try:
-                # no `proto` field -> the service speaks v1: single
-                # `unit` messages, so every grant is observable
                 lc.send({"type": "hello", "worker": "probe",
-                         "heartbeat": 0.3})
+                         "heartbeat": 0.3, "proto": PROTO_VERSION})
                 for _ in range(8):
-                    message = lc.recv(timeout=30.0)
-                    assert message["type"] == "unit"
-                    unit = WorkUnit.from_dict(message["unit"])
+                    unit = _single_unit_lease(lc.recv(timeout=30.0))
                     order.append("A" if unit.granularity == 0.4 else "B")
                     lc.send({
                         "type": "result",
@@ -159,10 +164,9 @@ class TestMultiTenantService:
             lc = _LineConn(socket.create_connection(address, timeout=10.0))
             try:
                 lc.send({"type": "hello", "worker": "probe",
-                         "heartbeat": 0.3})
+                         "heartbeat": 0.3, "proto": PROTO_VERSION})
                 for _ in range(12):
-                    message = lc.recv(timeout=30.0)
-                    unit = WorkUnit.from_dict(message["unit"])
+                    unit = _single_unit_lease(lc.recv(timeout=30.0))
                     if unit.granularity == 1.2:
                         break
                     grants_until_high += 1

@@ -12,7 +12,11 @@ import socket
 import pytest
 
 from repro.experiments import SocketExecutor, run_campaign
-from repro.experiments.executors.socket import _LineConn, sockets_available
+from repro.experiments.executors.socket import (
+    PROTO_VERSION,
+    _LineConn,
+    sockets_available,
+)
 
 pytestmark = [
     pytest.mark.distributed,
@@ -100,10 +104,11 @@ class TestSocketExecutor:
             time.sleep(0.01)
         lc = _LineConn(socket.create_connection(executor.address, timeout=10.0))
         try:
-            lc.send({"type": "hello", "worker": "slow", "heartbeat": 0.3})
+            lc.send({"type": "hello", "worker": "slow", "heartbeat": 0.3,
+                     "proto": PROTO_VERSION})
             message = lc.recv(timeout=10.0)
-            assert message["type"] == "unit"
-            unit = WorkUnit.from_dict(message["unit"])
+            assert message["type"] == "lease"
+            [unit] = [WorkUnit.from_dict(d) for d in message["units"]]
             result = unit.run()
             for _ in range(10):  # pretend the compute takes 3 s
                 time.sleep(0.3)
@@ -223,29 +228,6 @@ class TestBatchLeases:
         assert len(store) == len(units)
         return store
 
-    def test_v1_worker_negotiation(self, pinned_config, pinned_serial_rows):
-        # A hello without a proto field is a v1 worker: the master must
-        # stream single `unit` messages, never a `lease`.
-        from repro.experiments.grid import WorkUnit
-        from repro.experiments.store import result_to_dict
-
-        def v1_worker(lc):
-            lc.send({"type": "hello", "worker": "legacy", "heartbeat": 0.3})
-            while True:
-                message = lc.recv(timeout=10.0)
-                if message["type"] == "shutdown":
-                    return
-                assert message["type"] == "unit", message["type"]
-                unit = WorkUnit.from_dict(message["unit"])
-                lc.send({
-                    "type": "result",
-                    "unit_id": unit.unit_id,
-                    "result": result_to_dict(unit.run()),
-                })
-
-        store = self._drive_master(pinned_config, v1_worker)
-        assert store.rep_rows() == _serial_rep_rows(pinned_config)
-
     def test_adaptive_lease_grows_with_fast_units(self, pinned_config):
         # First lease is 1 unit (no latency sample); after a fast result
         # the policy sizes the next lease to its fair share of the queue.
@@ -256,9 +238,9 @@ class TestBatchLeases:
 
         lease_sizes = []
 
-        def v2_worker(lc):
-            lc.send({"type": "hello", "worker": "v2", "heartbeat": 0.3,
-                     "proto": 2})
+        def lease_worker(lc):
+            lc.send({"type": "hello", "worker": "lease", "heartbeat": 0.3,
+                     "proto": PROTO_VERSION})
             while True:
                 message = lc.recv(timeout=10.0)
                 if message["type"] == "shutdown":
@@ -275,7 +257,7 @@ class TestBatchLeases:
                     })
 
         cfg = replace(pinned_config, num_graphs=3)  # 6 units
-        self._drive_master(cfg, v2_worker)
+        self._drive_master(cfg, lease_worker)
         assert lease_sizes[0] == 1
         assert max(lease_sizes) > 1  # the master batched once calibrated
         assert sum(lease_sizes) == 6
@@ -290,7 +272,7 @@ class TestBatchLeases:
 
         def duplicating_worker(lc):
             lc.send({"type": "hello", "worker": "dup", "heartbeat": 0.3,
-                     "proto": 2})
+                     "proto": PROTO_VERSION})
             while True:
                 message = lc.recv(timeout=10.0)
                 if message["type"] == "shutdown":
@@ -320,8 +302,8 @@ class TestWireProtocol:
         try:
             a.send({"type": "hello", "worker": "w1"})
             assert b.recv(timeout=5.0) == {"type": "hello", "worker": "w1"}
-            b.send({"type": "unit", "unit": {"granularity": 0.5}})
-            assert a.recv(timeout=5.0)["unit"] == {"granularity": 0.5}
+            b.send({"type": "lease", "units": [{"granularity": 0.5}]})
+            assert a.recv(timeout=5.0)["units"] == [{"granularity": 0.5}]
             # Closing via the _LineConn releases the makefile reference too,
             # so the peer observes EOF (a bare sock.close() would not).
             a.close()

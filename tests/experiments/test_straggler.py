@@ -5,8 +5,7 @@ The conformance matrix (``executor_conformance.py``) proves the
 *outcome* — bit-identical rows under wedged workers, revoked leases,
 and speculative duplicates.  This module pins the *mechanism*: policy
 arithmetic, the exact revoke a victim receives, first-ack-wins in both
-orders of the revoke-vs-stale-ack race, the v2-worker compatibility
-guarantee (never revoked, still completes), connect backoff, and the
+orders of the revoke-vs-stale-ack race, connect backoff, and the
 master's bounded respawn of crashed local workers.
 
 Scripted-worker and spawned-worker tests are marked ``distributed``
@@ -22,6 +21,7 @@ import pytest
 from repro.experiments import SocketExecutor, run_campaign
 from repro.experiments.executors import SpeculationPolicy, parse_steal
 from repro.experiments.executors.socket import (
+    PROTO_VERSION,
     WORKER_EXIT_ERROR,
     _connect_with_backoff,
     _LineConn,
@@ -174,11 +174,11 @@ class TestScriptedStraggler:
         assert not errors, errors
 
     @staticmethod
-    def _hello(executor, proto):
+    def _hello(executor, name):
         lc = _LineConn(socket.create_connection(executor.address, timeout=10.0))
         lc.send({
-            "type": "hello", "worker": f"scripted-v{proto}",
-            "heartbeat": 0.3, "proto": proto,
+            "type": "hello", "worker": f"scripted-{name}",
+            "heartbeat": 0.3, "proto": PROTO_VERSION,
         })
         return lc
 
@@ -206,10 +206,10 @@ class TestScriptedStraggler:
         )
         store = RunStore()
         thread, errors = self._start_master(units, executor, store)
-        victim = self._hello(executor, proto=3)
+        victim = self._hello(executor, "victim")
         leased = self._lease_units(victim.recv(timeout=10.0))
         assert len(leased) == len(units)  # one lease spans the campaign
-        thief = self._hello(executor, proto=3)
+        thief = self._hello(executor, "thief")
         stolen = self._lease_units(thief.recv(timeout=10.0))
         # The head of the victim's lease is what it is computing right
         # now; only the unstarted tail moves.
@@ -306,41 +306,6 @@ class TestScriptedStraggler:
         }
         assert store.rep_rows() == _serial_rep_rows(pinned_config)
 
-    def test_v2_worker_is_never_revoked(self, pinned_config):
-        # The compatibility pin: a v2 worker completes a campaign
-        # against a v3 master with stealing enabled, and is never sent a
-        # revoke (or any other v3 message) — the master simply declines
-        # to steal from it, even while an idle v3 worker is begging.
-        units = ScenarioGrid.from_config(pinned_config).units()
-        executor = SocketExecutor(
-            spawn_workers=0, timeout=DEADLINE_S, lease=len(units),
-        )
-        store = RunStore()
-        thread, errors = self._start_master(units, executor, store)
-        victim = self._hello(executor, proto=2)
-        thief = None
-        try:
-            leased = self._lease_units(victim.recv(timeout=10.0))
-            assert len(leased) == len(units)
-            thief = self._hello(executor, proto=3)
-            # Let the idle thief's claim loop run: it must keep finding
-            # nothing rather than steal from a lease that cannot be
-            # revoked.
-            time.sleep(0.5)
-            for unit in leased:
-                self._ack(victim, unit)
-            # The ONLY message after the lease is the shutdown — a
-            # revoke here would have crashed this worker in production.
-            assert victim.recv(timeout=10.0)["type"] == "shutdown"
-            assert thief.recv(timeout=10.0)["type"] == "shutdown"
-        finally:
-            victim.close()
-            if thief is not None:
-                thief.close()
-            self._finish(thread, errors)
-        assert executor.stolen_units == 0
-        assert store.rep_rows() == _serial_rep_rows(pinned_config)
-
     def test_speculation_rescues_wedged_lease(self, pinned_config):
         # A wedged victim: acks one unit (calibrating the EWMA), then
         # holds the rest of its lease forever.  With stealing off, only
@@ -356,12 +321,12 @@ class TestScriptedStraggler:
         )
         store = RunStore()
         thread, errors = self._start_master(units, executor, store)
-        victim = self._hello(executor, proto=3)
+        victim = self._hello(executor, "victim")
         rescuer = None
         try:
             leased = self._lease_units(victim.recv(timeout=10.0))
             self._ack(victim, leased[0])  # then wedge, heartbeats only
-            rescuer = self._hello(executor, proto=3)
+            rescuer = self._hello(executor, "rescuer")
             for expected in leased[1:]:
                 duplicate = self._lease_units(rescuer.recv(timeout=10.0))
                 assert [u.unit_id for u in duplicate] == [expected.unit_id]

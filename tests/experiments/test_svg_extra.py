@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro.experiments.campaign import run_campaign
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.extra import (
     heterogeneity_sweep,
     platform_size_sweep,
     sweep_table,
 )
-from repro.experiments.harness import run_campaign
 from repro.experiments.svg import (
     SvgLineChart,
     _nice_ticks,
